@@ -5,7 +5,8 @@ Run from the repo root::
 
     PYTHONPATH=src python scripts/regen_golden.py
 
-Writes the campaign dataset digests (``digests.json``) and the pinned
+Writes the campaign dataset digests plus the digest of the us-west1
+topology selection (``digests.json``) and the pinned
 congestion-detection output (``congestion_detection.json``).  Only
 commit the result when a behaviour change was *intentional*: the
 fixtures are the determinism contract that makes silent drift in the
@@ -29,17 +30,12 @@ from repro.faults import FaultPlan                     # noqa: E402
 
 from tests.fixtures_congestion import (                # noqa: E402
     regression_dataset, serialize_report)
+from tests.fixtures_golden import (                    # noqa: E402
+    BUDGET_SERVERS, DAYS, REGION, SCALE, SEED, selection_digest)
 
 GOLDEN_PATH = _ROOT / "tests" / "golden" / "digests.json"
 DETECTION_PATH = (_ROOT / "tests" / "golden"
                   / "congestion_detection.json")
-
-#: The pinned campaign shape.  Keep in sync with tests/test_golden.py.
-SEED = 11
-SCALE = 0.05
-REGION = "us-west1"
-BUDGET_SERVERS = 8
-DAYS = 2
 
 
 def run_campaign(faults):
@@ -48,19 +44,21 @@ def run_campaign(faults):
     selection = clasp.select_topology_servers(REGION)
     plan = clasp.deploy_topology(REGION, selection,
                                  budget_servers=BUDGET_SERVERS)
-    return clasp.run_campaign([plan], days=DAYS)
+    return selection, clasp.run_campaign([plan], days=DAYS)
 
 
 def main() -> int:
+    selection, faults_off = run_campaign(None)
+    _selection, faults_default = run_campaign(FaultPlan.default())
     golden = {
         "_comment": f"Golden dataset digests: seed={SEED} scale={SCALE} "
                     f"{REGION} budget_servers={BUDGET_SERVERS} "
                     f"days={DAYS}. Regenerate with "
                     f"scripts/regen_golden.py only when an intentional "
                     f"behaviour change shifts the dataset.",
-        "faults_off": dataset_digest(run_campaign(None)),
-        "faults_default": dataset_digest(
-            run_campaign(FaultPlan.default())),
+        "faults_off": dataset_digest(faults_off),
+        "faults_default": dataset_digest(faults_default),
+        "selection_us_west1": selection_digest(selection),
     }
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1) + "\n",

@@ -2,8 +2,10 @@
 
 The digests in ``tests/golden/digests.json`` pin the exact dataset a
 fixed campaign shape produces, with faults off and with the default
-fault plan.  Any drift - a reordered RNG draw, a changed export
-serialization, a fault decision keyed differently - fails here.
+fault plan, and the whole us-west1 topology selection behind it.  Any
+drift - a reordered RNG draw, a changed export serialization, a fault
+decision keyed differently, a server or border link beyond the
+deployment budget - fails here.
 
 Regenerate intentionally with ``scripts/regen_golden.py``.
 """
@@ -17,14 +19,10 @@ from repro.core.export import dataset_digest
 from repro.experiments.scenario import build_scenario
 from repro.faults import FaultPlan
 
-GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "digests.json"
+from .fixtures_golden import (
+    BUDGET_SERVERS, DAYS, REGION, SCALE, SEED, selection_digest)
 
-# Keep in sync with scripts/regen_golden.py.
-SEED = 11
-SCALE = 0.05
-REGION = "us-west1"
-BUDGET_SERVERS = 8
-DAYS = 2
+GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "digests.json"
 
 
 def _run_campaign(faults):
@@ -55,6 +53,17 @@ def test_golden_digest_faults_default(golden):
     scenario, dataset = _run_campaign(FaultPlan.default())
     assert scenario.clasp.fault_injector is not None
     assert dataset_digest(dataset) == golden["faults_default"]
+
+
+def test_golden_selection_digest(golden):
+    """The full pilot scan - every selected server in order, every
+    traced server's matched link and RTT, every bdrmap link - not only
+    the budget-capped slice the dataset digest sees."""
+    scenario = build_scenario(seed=SEED, scale=SCALE)
+    selection = scenario.clasp.select_topology_servers(REGION)
+    assert len(selection.selected) > BUDGET_SERVERS
+    assert len(selection.server_links) > len(selection.selected)
+    assert selection_digest(selection) == golden["selection_us_west1"]
 
 
 def test_golden_two_fresh_runs_identical():
