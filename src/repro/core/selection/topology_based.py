@@ -147,7 +147,8 @@ class TopologySelector:
             country: str = "US") -> TopologySelection:
         """Full pilot scan for one region."""
         with obs.span("selection.topology.run", layer="selection",
-                      sim_ts=ts, region=region) as sp:
+                      sim_ts=ts, region=region) as sp, \
+                self._scamper.snapshot(ts):
             selection = self._run(region, src_pop_id, ts, country)
             sp.annotate(n_selected=len(selection.selected),
                         n_links=selection.n_interdomain_links)

@@ -704,7 +704,9 @@ class TopologyGenerator:
         regional transits, and cloud peering at *peering_city_keys*
         (cloud-side cities; defaults to the home cities).  *congestion*
         is ``None``, ``"evening"``, ``"daytime"``, or ``"allday"`` and
-        shapes the ISP-to-cloud direction of every peering link.
+        shapes the ISP-to-cloud direction of every peering link.  A
+        router built before this call must
+        :meth:`~repro.netsim.routing.Router.invalidate_caches`.
         """
         topo = net.topology
         util = net.utilization
@@ -751,7 +753,6 @@ class TopologyGenerator:
                 util.set_profile(record.link_id, 1, _story_profile(
                     congestion, offset, draw))
         net.access_isp_asns.append(as_obj.asn)
-        self._rebind_router_caches(net)
         return as_obj
 
     def add_cloud_wan(self, net: GeneratedInternet, name: str,
@@ -777,7 +778,9 @@ class TopologyGenerator:
         vantage-point populations are unaffected; a campaign that never
         routes through the WAN produces the exact same dataset with or
         without it.  Returns the new AS; callers hand ``as_obj.asn`` to
-        :class:`~repro.cloud.api.CloudPlatform` as ``cloud_asn``.
+        :class:`~repro.cloud.api.CloudPlatform` as ``cloud_asn``.  A
+        router built before this call must
+        :meth:`~repro.netsim.routing.Router.invalidate_caches`.
         """
         topo = net.topology
         util = net.utilization
@@ -814,19 +817,7 @@ class TopologyGenerator:
                 capacity_range=self.config.transit_interconnect_gbps,
                 congest_prob=0.02,
                 subnet_owner_bias=1.0)
-        self._rebind_router_caches(net)
         return as_obj
-
-    @staticmethod
-    def _rebind_router_caches(net: GeneratedInternet) -> None:
-        """Topology changed post-generation; flag for router rebuilds.
-
-        Routing engines built before a story AS was added must call
-        :meth:`~repro.netsim.routing.Router.invalidate_caches` (the
-        scenario builder constructs CLASP after all stories, so the
-        common path needs nothing here).
-        """
-        # Nothing to do on the net object itself; hook kept for clarity.
 
     def _buy_transit(self, topo: Topology, util: UtilizationModel,
                      customer: AS, transits: List[AS], tier1s: List[AS],

@@ -100,6 +100,10 @@ class Route:
         return self.border_crossings[-1] if self.border_crossings else None
 
 
+#: One border link as routing sees it: (record, link, near_pop, far_pop).
+_Border = Tuple[InterdomainLink, Link, int, int]
+
+
 class Router:
     """Routing engine bound to one :class:`Topology`.
 
@@ -115,6 +119,10 @@ class Router:
         self._rib_cache: Dict[Tuple[int, GraphMode], Dict[int, Tuple[int, int, int]]] = {}
         # (asn, src_pop) -> {dst_pop: (prev_pop, link_id)}
         self._intra_cache: Dict[Tuple[int, int], Dict[int, Tuple[int, int]]] = {}
+        # (from_asn, to_asn) -> border candidates
+        self._border_cache: Dict[Tuple[int, int], Tuple[_Border, ...]] = {}
+        # (from_asn, to_asn, anchor_pop) -> near-tie borders, best first
+        self._ties_cache: Dict[Tuple[int, int, int], Tuple[_Border, ...]] = {}
         self._adj_full = self._build_adjacency(GraphMode.FULL)
         self._adj_std = self._build_adjacency(GraphMode.STANDARD)
 
@@ -312,8 +320,12 @@ class Router:
     # interdomain link choice & full expansion
 
     def _border_candidates(self, from_asn: int,
-                           to_asn: int) -> List[Tuple[InterdomainLink, Link, int, int]]:
+                           to_asn: int) -> Tuple[_Border, ...]:
         """(record, link, near_pop, far_pop) for each border link a->b."""
+        key = (from_asn, to_asn)
+        cached = self._border_cache.get(key)
+        if cached is not None:
+            return cached
         out = []
         for record in self._topo.interdomain_between(from_asn, to_asn):
             link = self._topo.link(record.link_id)
@@ -326,7 +338,9 @@ class Router:
                self._topo.pop(far).asn != to_asn:
                 continue
             out.append((record, link, near, far))
-        return out
+        candidates = tuple(out)
+        self._border_cache[key] = candidates
+        return candidates
 
     def _pop_distance_km(self, pop_a: int, pop_b: int) -> float:
         topo = self._topo
@@ -334,22 +348,39 @@ class Router:
         city_b = topo.city_of_pop(pop_b)
         return city_a.point.distance_km(city_b.point)
 
-    def _choose_border(self, candidates: List[Tuple[InterdomainLink, Link, int, int]],
-                       anchor_pop: int,
-                       flow_key: int) -> Tuple[InterdomainLink, Link, int, int]:
-        """Pick the border link closest to *anchor_pop*.
+    def _border_ties(self, from_asn: int, to_asn: int,
+                     anchor_pop: int) -> Tuple[_Border, ...]:
+        """Border links a->b within 1 km of the one closest to *anchor_pop*.
+
+        Ordered by (distance, link id).  Nothing here depends on the
+        flow, so the list is computed once per (a, b, anchor).
+        """
+        key = (from_asn, to_asn, anchor_pop)
+        cached = self._ties_cache.get(key)
+        if cached is not None:
+            return cached
+        candidates = self._border_candidates(from_asn, to_asn)
+        if not candidates:
+            raise NoRouteError(from_asn, to_asn)
+        scored = sorted(
+            ((self._pop_distance_km(c[2], anchor_pop), c[0].link_id, c)
+             for c in candidates),
+            key=lambda item: (item[0], item[1]))
+        best_distance = scored[0][0]
+        ties = tuple(c for dist, _lid, c in scored
+                     if dist <= best_distance + 1.0)
+        self._ties_cache[key] = ties
+        return ties
+
+    @staticmethod
+    def _choose_border(ties: Tuple[_Border, ...], flow_key: int) -> _Border:
+        """Pick one of the near-tie border links closest to the anchor.
 
         Parallel links at (essentially) the same distance are load
         balanced by a stable hash of the flow key, modelling ECMP over
         LAG members / parallel peering sessions.  Paris-traceroute keeps
         the flow key constant, so a given flow always sees one member.
         """
-        scored = sorted(
-            ((self._pop_distance_km(c[2], anchor_pop), c[0].link_id, c)
-             for c in candidates),
-            key=lambda item: (item[0], item[1]))
-        best_distance = scored[0][0]
-        ties = [c for dist, _lid, c in scored if dist <= best_distance + 1.0]
         if len(ties) == 1:
             return ties[0]
         idx = stable_hash64(
@@ -389,17 +420,15 @@ class Router:
         current = src_pop
         for i in range(len(as_path) - 1):
             here, there = as_path[i], as_path[i + 1]
-            candidates = self._border_candidates(here, there)
-            if not candidates:
-                raise NoRouteError(here, there)
             entering_last = (i == len(as_path) - 2)
             if i == 0 and first_as_policy is TierPolicy.COLD_POTATO:
-                chosen = self._choose_border(candidates, dst_pop, flow_key)
+                anchor = dst_pop
             elif entering_last and last_as_policy is TierPolicy.COLD_POTATO:
-                chosen = self._choose_border(candidates, dst_pop, flow_key)
+                anchor = dst_pop
             else:
-                chosen = self._choose_border(candidates, current, flow_key)
-            record, link, near_pop, far_pop = chosen
+                anchor = current
+            record, link, near_pop, far_pop = self._choose_border(
+                self._border_ties(here, there, anchor), flow_key)
             intra_pops, intra_links = self._intra_path(here, current, near_pop)
             pops.extend(intra_pops[1:])
             links.extend(intra_links)
@@ -430,9 +459,16 @@ class Router:
                            mode=mode, flow_id=flow_id)
 
     def invalidate_caches(self) -> None:
-        """Drop all cached RIBs and intra-AS tables (topology changed)."""
+        """Drop every cached RIB, intra-AS table and border list.
+
+        The topology changed: a router built before an AS or an
+        interdomain link was added (a story ISP, another cloud's WAN)
+        must call this, or routes keep ignoring the new links.
+        """
         self._rib_cache.clear()
         self._intra_cache.clear()
+        self._border_cache.clear()
+        self._ties_cache.clear()
         self._adj_full = self._build_adjacency(GraphMode.FULL)
         self._adj_std = self._build_adjacency(GraphMode.STANDARD)
 

@@ -188,18 +188,20 @@ class Bdrmap:
         if targets is None:
             targets = self.probe_targets()
         traces: List[Traceroute] = []
-        for probe_ip, dst_pop in targets:
-            for flow_id in flow_ids:
-                # Real ECMP hashes the 5-tuple: destination address and
-                # source port both move the flow across LAG members.
-                wire_flow = (flow_id << 20) ^ (probe_ip & 0xFFFFF)
-                try:
-                    traces.append(self._scamper.trace(
-                        src_pop_id, dst_pop, ts, mode=mode,
-                        first_as_policy=first_as_policy, flow_id=wire_flow,
-                        dst_ip=probe_ip))
-                except NoRouteError:
-                    break
+        with self._scamper.snapshot(ts):
+            for probe_ip, dst_pop in targets:
+                for flow_id in flow_ids:
+                    # Real ECMP hashes the 5-tuple: destination address
+                    # and source port both move the flow across LAG
+                    # members.
+                    wire_flow = (flow_id << 20) ^ (probe_ip & 0xFFFFF)
+                    try:
+                        traces.append(self._scamper.trace(
+                            src_pop_id, dst_pop, ts, mode=mode,
+                            first_as_policy=first_as_policy,
+                            flow_id=wire_flow, dst_ip=probe_ip))
+                    except NoRouteError:
+                        break
         return traces
 
     # ------------------------------------------------------------------

@@ -10,7 +10,7 @@ is what bdrmap exists to close.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..netsim.addressing import Prefix, PrefixTrie
 from ..netsim.topology import Topology
@@ -24,16 +24,23 @@ class Prefix2AS:
 
     def __init__(self) -> None:
         self._trie: PrefixTrie[int] = PrefixTrie()
+        #: ip -> lookup() result; any add() may change a match.
+        self._memo: Dict[int, Optional[int]] = {}
 
     def add(self, prefix: Prefix, asn: int) -> None:
         """Register an announced prefix."""
         if asn <= 0:
             raise ValidationError(f"ASN must be positive, got {asn}")
         self._trie.insert(prefix, asn)
+        self._memo.clear()
 
     def lookup(self, ip: int) -> Optional[int]:
         """Origin ASN of the most-specific covering prefix, or None."""
-        return self._trie.lookup(ip)
+        try:
+            return self._memo[ip]
+        except KeyError:
+            asn = self._memo[ip] = self._trie.lookup(ip)
+            return asn
 
     def lookup_prefix(self, ip: int) -> Optional[Tuple[Prefix, int]]:
         """(prefix, ASN) of the most-specific match, or None."""

@@ -7,12 +7,18 @@ queueing at probe time.  Paris-traceroute semantics: the flow
 identifier is held constant, so per-flow ECMP decisions are stable
 within one trace, and varying ``flow_id`` across traces exposes
 parallel links - which is how bdrmap enumerates LAG members.
+
+A probing round - every trace bdrmap or the pilot scan sends from one
+vantage point at one instant - runs inside :meth:`Scamper.snapshot`,
+which evaluates each link direction's queueing delay once for the
+whole round instead of once per hop.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 
 from .. import obs
@@ -89,8 +95,40 @@ class Scamper:
         self._eval = evaluator
         self._rng = (seeds or SeedTree(0)).generator("scamper")
         self.no_response_rate = no_response_rate
+        #: The open snapshot: (ts, (link_id, direction) -> queue delay).
+        self._snapshot: Optional[Tuple[float, Dict[Tuple[int, int], float]]] = None
 
     # ------------------------------------------------------------------
+
+    @contextmanager
+    def snapshot(self, ts: float) -> Iterator[None]:
+        """Share one link-state table among the traces sent at *ts*.
+
+        Inside the block, each (link, direction)'s queueing delay at
+        *ts* is evaluated once, on first use, and reused by every later
+        trace at the same *ts*.  The link model is a pure function of
+        (link, direction, ts), so every hop and RTT is exactly what
+        unshared evaluation gives.  A nested block at the same *ts*
+        shares the open table.  The outermost block drops it on exit:
+        link profiles and capacities may be rewritten in place between
+        two rounds (``apply_differential_story`` does), and the next
+        round must see them.
+        """
+        outer = self._snapshot
+        if outer is not None and outer[0] == ts:
+            yield
+            return
+        self._snapshot = (ts, {})
+        try:
+            yield
+        finally:
+            self._snapshot = outer
+
+    def _queue_table(self, ts: float) -> Dict[Tuple[int, int], float]:
+        """The open snapshot's table when it is at *ts*, else a fresh one."""
+        if self._snapshot is not None and self._snapshot[0] == ts:
+            return self._snapshot[1]
+        return {}
 
     def trace_route(self, route: Route, ts: float,
                     dst_ip: Optional[int] = None,
@@ -106,6 +144,7 @@ class Scamper:
         src_pop = topo.pop(route.src_pop)
         target_ip = (dst_ip if dst_ip is not None
                      else topo.pop(route.dst_pop).loopback_ip)
+        queues = self._queue_table(ts)
         hops: List[Hop] = []
         cumulative_oneway = 0.0
         reached_target = False
@@ -116,8 +155,12 @@ class Scamper:
             ip = iface.ip if iface is not None else topo.pop(receiver_pop_id).loopback_ip
             cumulative_oneway += link.delay_ms
             if self._eval is not None:
-                link_state = self._eval.observe(link, direction, ts)
-                cumulative_oneway += link_state.queue_delay_ms
+                queue = queues.get((link_id, direction))
+                if queue is None:
+                    queue = self._eval.observe(link, direction,
+                                               ts).queue_delay_ms
+                    queues[(link_id, direction)] = queue
+                cumulative_oneway += queue
             # The destination itself always answers; routers may not.
             is_target = ip == target_ip
             responds = is_target or self._rng.random() >= self.no_response_rate

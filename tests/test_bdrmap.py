@@ -130,3 +130,35 @@ def test_generated_world_accuracy():
     recall = len(inferred & truth) / len(truth)
     assert precision > 0.85
     assert recall > 0.4
+
+
+def test_link_state_not_reused_across_rounds(mini_world):
+    """Two collect_traces rounds at one ts.  A traversed link's profile
+    rewritten in place between them - as apply_differential_story
+    does after the stack is built - shows in the second round's RTTs:
+    the per-round link-state table must not outlive its round."""
+    from repro.netsim.linkstate import LinkStateEvaluator
+    from repro.netsim.traffic import DiurnalProfile, UtilizationModel
+    topo = mini_world.topology
+    util = UtilizationModel(SeedTree(83), origin_ts=CAMPAIGN_START)
+    scamper = Scamper(topo, Router(topo, cloud_asn=mini_world.cloud_asn),
+                      evaluator=LinkStateEvaluator(util),
+                      seeds=SeedTree(81), no_response_rate=0.0)
+    bdrmap = Bdrmap(topo, scamper, build_prefix2as(topo),
+                    mini_world.cloud_asn,
+                    AliasResolver(topo, seeds=SeedTree(82)))
+    src = mini_world.pops["cloud-west"]
+    targets = [(parse_ip("10.40.24.1"), mini_world.pops["ispa-west"])]
+    before = bdrmap.collect_traces(src, CAMPAIGN_START, targets=targets)
+    # Saturate the cloud -> ISP Alpha direction of the west peering:
+    # its queue jumps from ~0.03 ms to the 30 ms interdomain cap.
+    util.set_profile(mini_world.links["peer-aw"], 0,
+                     DiurnalProfile(base=1.5, noise_sigma=0.0))
+    after = bdrmap.collect_traces(src, CAMPAIGN_START, targets=targets)
+    assert len(before) == len(after) == 3
+    for old, new in zip(before, after):
+        assert old.hops[0].ip == parse_ip("10.100.8.2")   # crossed it
+        assert [h.ip for h in old.hops] == [h.ip for h in new.hops]
+        for old_hop, new_hop in zip(old.hops, new.hops):
+            # Twice the one-way queue, give or take the probe noise.
+            assert new_hop.rtt_ms - old_hop.rtt_ms > 50.0

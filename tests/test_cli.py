@@ -138,3 +138,34 @@ def test_lint_command_select(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "RPR003" in out
     assert "RPR001" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "fig2", "--days", "0"],
+    ["quickloop", "--days", "-1"],
+    ["campaign", "--days", "0"],
+    ["campaign", "--shards", "0"],
+    ["serve", "--days", "0"],
+    ["serve", "--shards", "-2"],
+    ["daemon", "--days", "0"],
+    ["daemon", "--shards", "0"],
+    ["alerts", "--days", "0"],
+    ["obs", "--days", "0"],
+    ["cost", "--days", "0"],
+    ["campaign", "--days", "two"],
+])
+def test_non_positive_days_and_shards_rejected_at_parse_time(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--days" in err or "--shards" in err
+
+
+def test_repro_error_is_one_stderr_line_and_exit_2(capsys):
+    assert main(["campaign", "--region", "nowhere", "--scale", "0.05",
+                 "--days", "1"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert lines == ["repro campaign: error: unknown gcp region 'nowhere'"]
+    assert "Traceback" not in captured.err

@@ -112,3 +112,16 @@ def test_paris_flow_determinism(rig):
     t2 = scamper.trace(world.pops["cloud-west"], world.pops["ispb-south"],
                        CAMPAIGN_START, flow_id=9)
     assert t1.hop_ips() == t2.hop_ips()
+
+
+def test_prefix2as_memo_cleared_by_add(rig):
+    """A memoised lookup never hides a more-specific prefix added later."""
+    from repro.netsim.addressing import Prefix
+    _world, _topo, _router, p2a, _sc = rig
+    ip = parse_ip("10.40.24.5")
+    assert p2a.lookup(ip) == 400
+    assert p2a.lookup(parse_ip("203.0.113.1")) is None
+    p2a.add(Prefix.parse("10.40.24.0/28"), 999)
+    p2a.add(Prefix.parse("203.0.113.0/24"), 998)
+    assert p2a.lookup(ip) == 999
+    assert p2a.lookup(parse_ip("203.0.113.1")) == 998

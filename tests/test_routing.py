@@ -167,3 +167,123 @@ def test_hosts_never_transit(router, mini_world):
                          first_as_policy=TierPolicy.HOT_POTATO)
     for pop_id in route.pops:
         assert not topo.pop(pop_id).is_host
+
+
+# ----------------------------------------------------------------------
+# border choice: memoised near-tie lists vs a brute-force oracle
+
+
+def _oracle_border(topo, from_asn, to_asn, anchor_pop, flow_key):
+    """The border choice written out in full, with no memo."""
+    from repro.rng import stable_hash64
+    scored = []
+    for record in topo.interdomain_between(from_asn, to_asn):
+        link = topo.link(record.link_id)
+        near, far = ((link.pop_a, link.pop_b)
+                     if topo.pop(link.pop_a).asn == from_asn
+                     else (link.pop_b, link.pop_a))
+        if topo.pop(near).asn != from_asn or topo.pop(far).asn != to_asn:
+            continue
+        dist = topo.city_of_pop(near).point.distance_km(
+            topo.city_of_pop(anchor_pop).point)
+        scored.append((dist, record.link_id, (record, link, near, far)))
+    scored.sort(key=lambda item: (item[0], item[1]))
+    ties = [c for dist, _lid, c in scored if dist <= scored[0][0] + 1.0]
+    if len(ties) == 1:
+        return ties[0]
+    return ties[stable_hash64(
+        f"ecmp:{flow_key}:{ties[0][0].link_id}:{len(ties)}") % len(ties)]
+
+
+def test_border_choice_matches_oracle(small_scenario):
+    """Every (from, to) AS pair with a border, a few anchors and flows:
+    the memoised choice equals the brute-force one, on first use and
+    when served from the memo."""
+    topo = small_scenario.internet.topology
+    router = Router(topo, cloud_asn=small_scenario.internet.cloud_asn)
+    pairs = sorted({(r.near_asn, r.far_asn)
+                    for r in topo.interdomain_links()}
+                   | {(r.far_asn, r.near_asn)
+                      for r in topo.interdomain_links()})
+    pop_ids = sorted(topo.pops)
+    flow_keys = (0, 7, (12 << 24) ^ (345 << 4) ^ 3)
+    checked = ecmp_sets = 0
+    for index, (a, b) in enumerate(pairs):
+        anchors = {topo.pops_of_as(a)[0].pop_id,
+                   topo.pops_of_as(b)[-1].pop_id,
+                   pop_ids[(index * 7919) % len(pop_ids)]}
+        for anchor in sorted(anchors):
+            ties = router._border_ties(a, b, anchor)
+            ecmp_sets += len(ties) > 1
+            for flow_key in flow_keys:
+                expected = _oracle_border(topo, a, b, anchor, flow_key)
+                for _repeat in range(2):
+                    chosen = router._choose_border(
+                        router._border_ties(a, b, anchor), flow_key)
+                    assert chosen == expected, (a, b, anchor, flow_key)
+                checked += 1
+    assert len(pairs) > 50
+    assert checked >= len(flow_keys) * len(pairs)
+    assert ecmp_sets > 0     # the ECMP hash really was exercised
+
+
+def test_invalidate_caches_sees_story_isp_links():
+    """A router built before a story ISP exists: after
+    invalidate_caches() the story's new interdomain links are border
+    candidates and routes into the story ISP cross them."""
+    from repro.netsim.generator import GeneratorConfig, TopologyGenerator
+    from repro.rng import SeedTree
+    gen = TopologyGenerator(
+        GeneratorConfig(n_tier1=4, n_transit=8, n_access_isp=10,
+                        n_big_isp=2, n_hosting=4, n_education=2,
+                        n_business=2),
+        SeedTree(77))
+    net = gen.generate()
+    topo = net.topology
+    cloud = net.cloud_asn
+    router = Router(topo, cloud_asn=cloud)
+    cloud_pop = topo.pops_of_as(cloud)[0].pop_id
+    for record in topo.interdomain_links():
+        for a, b in ((record.near_asn, record.far_asn),
+                     (record.far_asn, record.near_asn)):
+            router._border_ties(a, b, cloud_pop)
+    old_links = {r.link_id for r in topo.interdomain_links()}
+
+    story = gen.add_story_isp(
+        net, "Testy Cable", home_city_keys=["San Diego, US", "Las Vegas, US"])
+    new_records = [r for r in topo.interdomain_links()
+                   if r.link_id not in old_links]
+    assert new_records
+    router.invalidate_caches()
+    for record in new_records:
+        for a, b in ((record.near_asn, record.far_asn),
+                     (record.far_asn, record.near_asn)):
+            candidates = router._border_candidates(a, b)
+            assert record.link_id in {c[0].link_id for c in candidates}
+    story_pop = topo.pops_of_as(story.asn)[0].pop_id
+    route = router.route(cloud_pop, story_pop)
+    assert route.as_path == (cloud, story.asn)
+    assert route.border_crossings[0].link_id not in old_links
+
+
+def test_stale_border_memo_until_invalidated(router, mini_world):
+    """A border link added between two ASes the router already routed
+    between stays invisible until invalidate_caches()."""
+    from repro.netsim.addressing import parse_ip
+    from repro.netsim.topology import InterdomainLink, LinkKind
+    topo = mini_world.topology
+    pops = mini_world.pops
+    before = router.route(pops["cloud-central"], pops["ispa-west"])
+    link = topo.add_link(LinkKind.INTERDOMAIN, pops["cloud-central"],
+                         pops["ispa-west"], 20_000.0, 0.2,
+                         ip_a=parse_ip("10.100.8.17"),
+                         ip_b=parse_ip("10.100.8.18"), address_asn=100)
+    topo.register_interdomain(InterdomainLink(
+        link_id=link.link_id, near_asn=100, far_asn=400,
+        city_key=topo.pop(pops["cloud-central"]).city_key,
+        near_ip=parse_ip("10.100.8.17"), far_ip=parse_ip("10.100.8.18")))
+    stale = router.route(pops["cloud-central"], pops["ispa-west"])
+    assert stale.links == before.links
+    router.invalidate_caches()
+    fresh = router.route(pops["cloud-central"], pops["ispa-west"])
+    assert fresh.border_crossings[0].link_id == link.link_id
