@@ -5,8 +5,9 @@ Run from the repo root::
 
     PYTHONPATH=src python scripts/regen_golden.py
 
-Writes the campaign dataset digests plus the digest of the us-west1
-topology selection (``digests.json``) and the pinned
+Writes the campaign dataset digests plus the digests of the us-west1
+topology selection and of the Speedchecker study over the three
+differential regions (``digests.json``) and the pinned
 congestion-detection output (``congestion_detection.json``).  Only
 commit the result when a behaviour change was *intentional*: the
 fixtures are the determinism contract that makes silent drift in the
@@ -31,7 +32,8 @@ from repro.faults import FaultPlan                     # noqa: E402
 from tests.fixtures_congestion import (                # noqa: E402
     regression_dataset, serialize_report)
 from tests.fixtures_golden import (                    # noqa: E402
-    BUDGET_SERVERS, DAYS, REGION, SCALE, SEED, selection_digest)
+    BUDGET_SERVERS, DAYS, REGION, SCALE, SEED, selection_digest,
+    speedchecker_digest)
 
 GOLDEN_PATH = _ROOT / "tests" / "golden" / "digests.json"
 DETECTION_PATH = (_ROOT / "tests" / "golden"
@@ -47,6 +49,12 @@ def run_campaign(faults):
     return selection, clasp.run_campaign([plan], days=DAYS)
 
 
+def speedchecker_medians():
+    scenario = build_scenario(seed=SEED, scale=SCALE)
+    return scenario.clasp.speedchecker_medians(
+        list(scenario.differential_regions))
+
+
 def main() -> int:
     selection, faults_off = run_campaign(None)
     _selection, faults_default = run_campaign(FaultPlan.default())
@@ -59,6 +67,7 @@ def main() -> int:
         "faults_off": dataset_digest(faults_off),
         "faults_default": dataset_digest(faults_default),
         "selection_us_west1": selection_digest(selection),
+        "speedchecker_medians": speedchecker_digest(speedchecker_medians()),
     }
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1) + "\n",

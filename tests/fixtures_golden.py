@@ -1,5 +1,6 @@
 """The pinned golden shape, shared by tests/test_golden.py and
-scripts/regen_golden.py, plus the canonical selection digest.
+scripts/regen_golden.py, plus the canonical selection and
+Speedchecker-study digests.
 """
 
 from __future__ import annotations
@@ -33,5 +34,17 @@ def selection_digest(selection) -> str:
                           link.n_traces, link.via_alias]
                          for link in selection.bdrmap.links.values()],
     }
+    text = json.dumps(canonical, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def speedchecker_digest(medians) -> str:
+    """sha256 over the ordered :class:`TupleMedian` list of a study.
+
+    Every field of every tuple, in study order, so a reordered draw,
+    a changed sample count or one ULP on a median all show.
+    """
+    canonical = [[m.asn, m.city_key, m.region, m.tier.value,
+                  m.median_rtt_ms, m.n_samples] for m in medians]
     text = json.dumps(canonical, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

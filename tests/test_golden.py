@@ -2,7 +2,8 @@
 
 The digests in ``tests/golden/digests.json`` pin the exact dataset a
 fixed campaign shape produces, with faults off and with the default
-fault plan, and the whole us-west1 topology selection behind it.  Any
+fault plan, the whole us-west1 topology selection behind it, and the
+Speedchecker latency study the differential selection starts from.  Any
 drift - a reordered RNG draw, a changed export serialization, a fault
 decision keyed differently, a server or border link beyond the
 deployment budget - fails here.
@@ -20,7 +21,8 @@ from repro.experiments.scenario import build_scenario
 from repro.faults import FaultPlan
 
 from .fixtures_golden import (
-    BUDGET_SERVERS, DAYS, REGION, SCALE, SEED, selection_digest)
+    BUDGET_SERVERS, DAYS, REGION, SCALE, SEED, selection_digest,
+    speedchecker_digest)
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "digests.json"
 
@@ -64,6 +66,16 @@ def test_golden_selection_digest(golden):
     assert len(selection.selected) > BUDGET_SERVERS
     assert len(selection.server_links) > len(selection.selected)
     assert selection_digest(selection) == golden["selection_us_west1"]
+
+
+def test_golden_speedchecker_digest(golden):
+    """Every per-tuple median of the study over the three differential
+    regions, in order, with its tier and sample count."""
+    scenario = build_scenario(seed=SEED, scale=SCALE)
+    medians = scenario.clasp.speedchecker_medians(
+        list(scenario.differential_regions))
+    assert len(medians) > 100
+    assert speedchecker_digest(medians) == golden["speedchecker_medians"]
 
 
 def test_golden_two_fresh_runs_identical():
