@@ -11,11 +11,14 @@ and endpoint rate limits on top.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .linkstate import LinkObservation, LinkStateEvaluator
 from .routing import Route
 from .topology import Topology
+from .vector import batch_link_utilization, batch_queue_delay_ms
 from ..errors import ValidationError
 
 __all__ = ["PathMetrics", "PathPerformanceModel"]
@@ -143,6 +146,38 @@ class PathPerformanceModel:
             reverse=tuple(rev_obs),
             burst_loss_rate=min(0.95, max(0.0, 1.0 - burst_survive)),
         )
+
+    def batch_rtt_ms(self, forward_route: Route, ts: np.ndarray,
+                     reverse_route: Optional[Route] = None) -> np.ndarray:
+        """``evaluate(forward_route, t, reverse_route).rtt_ms`` for each
+        *t* in *ts*, bit for bit.
+
+        Every link's queueing delay is evaluated over the whole of *ts*
+        at once (:mod:`repro.netsim.vector`); each direction's delays
+        are summed link by link in route order and added to the
+        propagation delays in :meth:`evaluate`'s order.
+        """
+        ts = np.asarray(ts, dtype=np.float64)
+        if reverse_route is None:
+            rev_links = [(link_id, direction ^ 1)
+                         for link_id, direction in forward_route.links]
+            rev_prop = forward_route.propagation_delay_ms(self._topo)
+        else:
+            rev_links = reverse_route.links
+            rev_prop = reverse_route.propagation_delay_ms(self._topo)
+        fwd_prop = forward_route.propagation_delay_ms(self._topo)
+        return (fwd_prop + rev_prop
+                + self._batch_queue_sum(forward_route.links, ts)
+                + self._batch_queue_sum(rev_links, ts))
+
+    def _batch_queue_sum(self, links: Sequence[Tuple[int, int]],
+                         ts: np.ndarray) -> np.ndarray:
+        total = np.zeros(ts.shape)
+        for link_id, direction in links:
+            link = self._topo.link(link_id)
+            u = batch_link_utilization(self._eval, link, direction, ts)
+            total = total + batch_queue_delay_ms(u, link.kind)
+        return total
 
     def idle_rtt_ms(self, forward_route: Route,
                     reverse_route: Optional[Route] = None) -> float:

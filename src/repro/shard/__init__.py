@@ -10,7 +10,8 @@ equivalence-preserving (golden digests are byte-identical for any
   evaluating all link states as one flat numpy batch (per-element
   link parameters) and the hour's TCP transfers as one batch laid
   out by shared bottleneck link, through the bit-exact vector twins
-  in :mod:`repro.shard.vectcp`.
+  in :mod:`repro.netsim.vector` (link state) and
+  :mod:`repro.shard.vectcp` (TCP).
 * **Region-sharded executor** (:mod:`repro.shard.executor`): lanes are
   partitioned across shards (regions kept together), each shard runs
   its own engine, and the per-shard event streams are merged on the
@@ -27,12 +28,12 @@ from .executor import (ShardBatchLaneExecutor, ShardLaneExecutor,
                        run_sharded)
 from .merge import (RecordingStepper, ShardRecorder, StampedEvent,
                     merge_streams, replay_events)
-from .vectcp import (batch_flows_for_rtt, batch_loss_rate,
-                     batch_mean_utilization, batch_mean_utilization_grid,
-                     batch_multiflow_throughput_mbps, batch_observe,
-                     batch_pftk_throughput_mbps, batch_queue_delay_ms,
-                     batch_residual_mbps, batch_utilization,
-                     batch_weekend_mask)
+from ..netsim.vector import (batch_loss_rate, batch_mean_utilization,
+                             batch_mean_utilization_grid, batch_observe,
+                             batch_queue_delay_ms, batch_residual_mbps,
+                             batch_utilization, batch_weekend_mask)
+from .vectcp import (batch_flows_for_rtt, batch_multiflow_throughput_mbps,
+                     batch_pftk_throughput_mbps)
 
 __all__ = [
     "BatchLaneExecutor",
