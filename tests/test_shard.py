@@ -10,9 +10,10 @@ campaign runs and nothing else:
 * **Event streams** - a multi-lane, two-region campaign under each
   fault plan emits the *identical* event sequence (every payload, in
   order) through sharded, vectorized, and forked execution.
-* **Vector oracles** - every numpy twin in :mod:`repro.shard.vectcp`
-  matches its scalar counterpart elementwise with 0 ULP drift over
-  dense random grids, including the link-flap hook interaction.
+* **Vector oracles** - every numpy twin in :mod:`repro.netsim.vector`
+  and :mod:`repro.shard.vectcp`, and the batch path RTT, matches its
+  scalar counterpart elementwise with 0 ULP drift over dense random
+  grids, including the link-flap hook interaction.
 
 Plus unit tests for the ``(hour, lane, seq)`` merge total order and
 the batch planner's refuse-to-desync strictness.
@@ -452,6 +453,48 @@ def test_batch_weekend_mask_matches_scalar():
         assert mask[i] == is_weekend(float(ts[i]), float(off[i]))
 
 
+def _near_local_midnights(offset, days):
+    """Timestamps within a second of each local midnight at *offset*."""
+    midnights = (float(CAMPAIGN_START) + np.arange(1, days) * DAY
+                 - offset * HOUR)
+    steps = np.array([-1.0, -0.999999, -0.5, -1e-6, -3e-7, 0.0, 1e-6, 0.5,
+                      0.999999, 1.0, 1.000001])
+    near = (midnights[:, None] + steps[None, :]).ravel()
+    # One ULP before midnight: datetime rounds it up into the next day.
+    return np.concatenate([near, np.nextafter(midnights, -np.inf)])
+
+
+@pytest.mark.parametrize("offset", [-3.5, 5.75, -8.0, 0.0])
+def test_batch_weekend_mask_multi_day_matches_scalar(offset):
+    """Batches spanning many local days at fractional offsets: one
+    scalar call per day, per-element calls within a second of local
+    midnight."""
+    rng = np.random.default_rng(10)
+    ts = np.concatenate([
+        float(CAMPAIGN_START) + rng.uniform(0.0, 16 * DAY, 600),
+        _near_local_midnights(offset, 16),
+    ])
+    mask = batch_weekend_mask(ts, np.full(ts.shape, offset))
+    assert mask.any() and not mask.all()
+    for i in range(ts.shape[0]):
+        assert mask[i] == is_weekend(float(ts[i]), offset)
+    profile = DiurnalProfile.congested_daytime(utc_offset_hours=offset)
+    _assert_zero_ulp(batch_mean_utilization(profile, ts),
+                     lambda t: profile.mean_utilization(float(t)), ts)
+
+
+def test_batch_weekend_mask_mixed_fractional_offsets():
+    offsets = np.array([-3.5, 5.75, 9.5])
+    ts = np.concatenate([_near_local_midnights(o, 10) for o in offsets])
+    off = np.repeat(offsets, ts.shape[0] // offsets.shape[0])
+    rng = np.random.default_rng(11)
+    order = rng.permutation(ts.shape[0])
+    ts, off = ts[order], off[order]
+    mask = batch_weekend_mask(ts, off)
+    for i in range(ts.shape[0]):
+        assert mask[i] == is_weekend(float(ts[i]), float(off[i]))
+
+
 @pytest.fixture(scope="module")
 def faulty_evaluator():
     """A generated world's evaluator with the link-flap hook wired."""
@@ -496,3 +539,33 @@ def test_batch_observe_matches_scalar_with_flaps(faulty_evaluator):
                 assert residual[i] == scalar.residual_mbps
                 assert loss[i] == scalar.loss_rate
                 assert queue[i] == scalar.queue_delay_ms
+
+
+@pytest.fixture(scope="module")
+def faulty_routes():
+    """Routed VP <-> region-pop pairs on a world with link flaps."""
+    scenario = build_scenario(seed=3, scale=SCALE,
+                              faults=FaultPlan.heavy())
+    platform = scenario.clasp.platform
+    region_pop = platform.region_pop("us-west1").pop_id
+    pairs = []
+    for vp in scenario.clasp.speedchecker.vantage_points()[:6]:
+        pairs.append((platform.router.route(vp.pop_id, region_pop),
+                      platform.router.route(region_pop, vp.pop_id)))
+    return platform.path_model, pairs, scenario.clasp.fault_injector
+
+
+@pytest.mark.parametrize("asymmetric", [True, False])
+def test_batch_rtt_matches_scalar_evaluate(faulty_routes, asymmetric):
+    """``batch_rtt_ms`` is ``evaluate().rtt_ms`` at 0 ULP, with an
+    explicit reverse route and with the forward route reversed."""
+    model, pairs, injector = faulty_routes
+    rng = np.random.default_rng(12)
+    ts = float(CAMPAIGN_START) + rng.uniform(0.0, 5 * DAY, 150)
+    for fwd, rev in pairs:
+        reverse = rev if asymmetric else None
+        _assert_zero_ulp(model.batch_rtt_ms(fwd, ts, reverse),
+                         lambda t: model.evaluate(fwd, float(t),
+                                                  reverse).rtt_ms, ts)
+    assert model.batch_rtt_ms(pairs[0][0], ts[:0]).shape == (0,)
+    assert any(e.kind.value == "link-flap" for e in injector.events)
