@@ -50,8 +50,10 @@ executes with observability enabled and writes a profile directory
 
 Every command accepts ``--seed`` / ``--scale`` (and ``--days`` where a
 campaign runs), mirroring the ``REPRO_*`` environment knobs the
-benchmark harness uses.  ``--days`` and ``--shards`` must be >= 1.  A
-command that fails with a :class:`~repro.errors.ReproError` prints one
+benchmark harness uses.  ``--days``, ``--shards``, ``--servers``,
+``--runs``, ``--consumers`` and ``--capacity`` must be >= 1.  A command
+that fails with a :class:`~repro.errors.ReproError`, or with an
+``OSError`` on a path it was given, prints one
 ``repro <command>: error: ...`` line on stderr and exits with status 2.
 """
 
@@ -113,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument("--region", default=None,
                         help="deployment region (default: the "
                              "provider's default region)")
-    p_camp.add_argument("--servers", type=int, default=8,
+    p_camp.add_argument("--servers", type=_positive_int, default=8,
                         help="server budget for the deployment")
     p_camp.add_argument("--faults", choices=("off", "default", "heavy"),
                         default="off",
@@ -161,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="run a campaign as an always-on "
                                   "monitor with cached query serving")
     p_serve.add_argument("--region", default="us-west1")
-    p_serve.add_argument("--servers", type=int, default=8,
+    p_serve.add_argument("--servers", type=_positive_int, default=8,
                          help="server budget for the deployment")
     p_serve.add_argument("--faults", choices=("off", "default", "heavy"),
                          default="off",
@@ -169,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--window-days", type=int, default=None,
                          help="sliding window for the live congested "
                               "label (default: all sealed days)")
-    p_serve.add_argument("--consumers", type=int, default=100_000,
+    p_serve.add_argument("--consumers", type=_positive_int, default=100_000,
                          help="simulated dashboard queries per hour")
     p_serve.add_argument("--ttl-hours", type=float, default=1.0,
                          help="snapshot cache TTL in simulated hours")
@@ -192,11 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_daemon = sub.add_parser("daemon",
                               help="keep one collector alive across N "
                                    "successive campaign runs")
-    p_daemon.add_argument("--runs", type=int, default=3,
+    p_daemon.add_argument("--runs", type=_positive_int, default=3,
                           help="number of successive campaigns to "
                                "replay into the collector")
     p_daemon.add_argument("--region", default="us-west1")
-    p_daemon.add_argument("--servers", type=int, default=8,
+    p_daemon.add_argument("--servers", type=_positive_int, default=8,
                           help="server budget for each deployment")
     p_daemon.add_argument("--shards", type=_positive_int, default=1,
                           help="partition lanes across N sharded "
@@ -220,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "collector and print the "
                                    "notification log")
     p_alerts.add_argument("--region", default="us-west1")
-    p_alerts.add_argument("--servers", type=int, default=8,
+    p_alerts.add_argument("--servers", type=_positive_int, default=8,
                           help="server budget for the deployment")
     p_alerts.add_argument("--faults",
                           choices=("off", "default", "heavy"),
@@ -242,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="run an instrumented campaign and dump "
                                 "the span tree / metrics")
     p_obs.add_argument("--region", default="us-west1")
-    p_obs.add_argument("--servers", type=int, default=8,
+    p_obs.add_argument("--servers", type=_positive_int, default=8,
                        help="server budget for the deployment")
     p_obs.add_argument("--faults", choices=("off", "default", "heavy"),
                        default="off",
@@ -252,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="tree = span tree + metric summary, jsonl = "
                             "spans and metrics as JSON lines, prom = "
                             "Prometheus text format")
-    p_obs.add_argument("--capacity", type=int, default=4096,
+    p_obs.add_argument("--capacity", type=_positive_int, default=4096,
                        help="flight recorder capacity (spans retained)")
     common(p_obs)
 
@@ -262,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cost = sub.add_parser("cost",
                             help="estimate the cloud bill for a campaign")
-    p_cost.add_argument("--servers", type=int, default=450)
+    p_cost.add_argument("--servers", type=_positive_int, default=450)
     p_cost.add_argument("--days", type=_positive_int, default=30)
     p_cost.add_argument("--tier", choices=("premium", "standard"),
                         default="premium")
@@ -568,12 +570,16 @@ def _cmd_daemon(args: argparse.Namespace) -> int:
     from repro.alerts import (Collector, concat_datasets, default_rules,
                               load_rules, notifications_to_jsonlines)
     from repro.core.congestion import detect
+    from repro.errors import ConfigError
     from repro.experiments import build_scenario
     from repro.report.tables import TextTable
     from repro.simclock import CAMPAIGN_START
     from repro.units import DAY
 
     rules = load_rules(args.rules) if args.rules else default_rules()
+    if args.state and not Path(args.state).parent.is_dir():
+        raise ConfigError(f"--state directory {Path(args.state).parent} "
+                          f"does not exist")
     collector = None
     resumed = False
     if args.state and Path(args.state).exists():
@@ -819,7 +825,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:
+        # OSError: a user-supplied path (--state, --export, --trace,
+        # --profile) that cannot be read or written.
         print(f"repro {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

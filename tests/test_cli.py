@@ -169,3 +169,61 @@ def test_repro_error_is_one_stderr_line_and_exit_2(capsys):
     lines = captured.err.strip().splitlines()
     assert lines == ["repro campaign: error: unknown gcp region 'nowhere'"]
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["campaign", "--servers", "0"], "--servers"),
+    (["serve", "--servers", "-1"], "--servers"),
+    (["daemon", "--servers", "0"], "--servers"),
+    (["alerts", "--servers", "0"], "--servers"),
+    (["obs", "--servers", "0"], "--servers"),
+    (["cost", "--servers", "0"], "--servers"),
+    (["daemon", "--runs", "0"], "--runs"),
+    (["serve", "--consumers", "0"], "--consumers"),
+    (["obs", "--capacity", "0"], "--capacity"),
+])
+def test_non_positive_counts_rejected_at_parse_time(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def _one_error_line(capsys, command):
+    __tracebackhide__ = True
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith(f"repro {command}: error: ")
+    assert "Traceback" not in captured.err
+    return lines[0]
+
+
+def test_daemon_state_in_missing_directory_fails_fast(tmp_path, capsys):
+    state = tmp_path / "missing" / "state.json"
+    assert main(["daemon", "--state", str(state), "--scale", "0.05"]) == 2
+    assert "does not exist" in _one_error_line(capsys, "daemon")
+
+
+def test_daemon_unreadable_state_is_one_line(tmp_path, capsys):
+    """A --state path that exists but cannot be read (a directory)."""
+    assert main(["daemon", "--state", str(tmp_path),
+                 "--scale", "0.05"]) == 2
+    assert str(tmp_path) in _one_error_line(capsys, "daemon")
+
+
+@pytest.mark.parametrize("command", ["daemon", "alerts", "campaign"])
+def test_missing_rules_file_is_one_line(tmp_path, capsys, command):
+    rules = tmp_path / "nope.json"
+    assert main([command, "--rules", str(rules), "--scale", "0.05",
+                 "--days", "1"]) == 2
+    assert "nope.json" in _one_error_line(capsys, command)
+
+
+def test_unwritable_export_is_one_line(tmp_path, capsys):
+    """--export under a regular file: the OSError from mkdir."""
+    blocker = tmp_path / "file"
+    blocker.write_text("x", encoding="utf-8")
+    assert main(["campaign", "--export", str(blocker / "out"),
+                 "--scale", "0.05", "--days", "1", "--servers", "2"]) == 2
+    assert str(blocker) in _one_error_line(capsys, "campaign")
